@@ -247,59 +247,49 @@ def _grow_spanning_tree(G: WeightedGraph, seed_edges) -> list[Edge]:
     return sorted(tree)
 
 
-def _cycle_through_edge_with_unequal(G: WeightedGraph, block: list[Edge]):
+def _cycle_through_edge_with_unequal(weights: dict[Edge, Scalar], block: list[Edge]):
     """A simple cycle inside a nonconstant block containing two edges of
-    different weight, as (cycle edges, e, f)."""
-    weights = G.weight_map()
-    block_set = set(block)
+    different weight, as (cycle edges, e, f).
+
+    The block's line graph is connected, so some vertex x carries two block
+    edges e = xa and f = xb of different weight.  The block is 2-connected,
+    so a and b stay connected without x; a BFS path between them closes the
+    cycle.  O(E) overall."""
     adj: dict[int, list[int]] = {}
-    for u, v in block:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v in adj:
-        adj[v].sort()
-    for e in block:
-        a, b = e
-        we = weights[e]
-        # DFS over simple paths from b back to a avoiding e itself
-        path = [b]
-        on_path = {b}
-        found: list = []
-
-        def dfs(v):
-            if found:
-                return
-            for w in adj[v]:
-                if found:
-                    return
-                if v == b and w == a:
-                    continue
-                if w == a and len(path) >= 2:
-                    edges = [tuple(sorted((path[i], path[i + 1]))) for i in range(len(path) - 1)]
-                    edges.append(tuple(sorted((path[-1], a))))
-                    edges.append(e)
-                    if any(weights[g] != we for g in edges):
-                        found.append(edges)
-                        return
-                elif w not in on_path and w != a:
-                    path.append(w)
-                    on_path.add(w)
-                    dfs(w)
-                    path.pop()
-                    on_path.remove(w)
-
-        dfs(b)
-        if found:
-            cycle_edges = found[0]
-            f = next(g for g in cycle_edges if weights[g] != we)
-            return cycle_edges, e, f
-    raise AssertionError("nonconstant block without a witnessing cycle")
+    first: dict[int, Edge] = {}
+    pair = None
+    for g in block:
+        for x, y in (g, g[::-1]):
+            adj.setdefault(x, []).append(y)
+            if x not in first:
+                first[x] = g
+            elif pair is None and weights[g] != weights[first[x]]:
+                pair = (x, first[x], g)
+    if pair is None:
+        raise AssertionError("nonconstant block without two unequal adjacent edges")
+    x, e, f = pair
+    a, b = e[0] + e[1] - x, f[0] + f[1] - x
+    parent = {a: a, x: x}
+    queue = [a]
+    for v in queue:  # breadth-first: the list grows while it is read
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+        if b in parent:
+            break
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return [e, f] + [(min(p, q), max(p, q)) for p, q in zip(path, path[1:])], e, f
 
 
 def mst_covp(G: WeightedGraph) -> GraphReport:
     """All spanning trees share their total weight iff the weight is
     constant on every nontrivial cycle component; bridges are free.  On
-    failure two trees differing in one cycle exchange are returned."""
+    failure two trees differing in one cycle exchange are returned: the
+    cycle runs through two adjacent edges of different weight, so the whole
+    test, witness included, takes O(E) time."""
     if G.directed:
         raise InputError("spanning trees live in undirected graphs")
     if not is_connected(G):
@@ -310,7 +300,7 @@ def mst_covp(G: WeightedGraph) -> GraphReport:
     for block in components:
         values = {weights[e] for e in block}
         if len(values) > 1:
-            cycle_edges, e, f = _cycle_through_edge_with_unequal(G, block)
+            cycle_edges, e, f = _cycle_through_edge_with_unequal(weights, block)
             # tree T contains the cycle minus e; T' swaps f out for e
             seed = [g for g in cycle_edges if g != e]
             t1 = _grow_spanning_tree(G, seed)
@@ -574,63 +564,73 @@ def _violated_quadruple(weights, n):
 # round trips (sum-matrix test on the cost matrix)
 
 
-def tsp_covp(tensor: CostTensor, witness_bound: int = 8) -> GraphReport:
+def tsp_covp(tensor: CostTensor) -> GraphReport:
     """All round trips through 1..n share their cost iff the off-diagonal
     entries split as c_ij = u_i + v_j (diagonal entries never enter).
-    Failure at n <= witness_bound comes with two explicit trips."""
+
+    Sum-matrix test in O(n^2) (Berenguer 1979): with u_1 = 0, row 1 and
+    column 1 fix v_j and u_i, one off-diagonal triple fixes v_1, and every
+    entry is then checked.  On failure the residual r = c - u - v vanishes
+    on every arc at vertex 1 and on 2->3, and moving vertex 1 from z->1->a
+    into an arc i->j (with {z,a} and {i,j} disjoint) changes the trip cost
+    by r_za - r_ij.  For n >= 6 such a pair with unequal residuals always
+    exists; for n <= 5 the at most 24 trips are enumerated instead."""
     if tensor.d != 2 or tensor.dims[0] != tensor.dims[1]:
         raise InputError("need a square two-dimensional cost array")
     n = tensor.dims[0]
     if n < 3:
         raise InputError("round trips need n >= 3")
-    from .exact import ExactMatrix, solve_linear
-
-    rows = []
-    rhs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            row = [0] * (2 * n)
-            row[i - 1] = 1
-            row[n + j - 1] = 1
-            rows.append(row)
-            rhs.append(tensor.at((i, j)))
-    result = solve_linear(ExactMatrix.from_rows(rows), rhs)
-    if result.consistent:
-        u = result.solution[:n]
-        v = result.solution[n:]
+    data = tensor.data
+    v1 = data[n] + data[2] - data[n + 2]  # c_21 + c_13 - c_23
+    u = [0] + [data[i * n] - v1 for i in range(1, n)]
+    v = [v1] + list(data[1:n])
+    arcs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    if all(data[(i - 1) * n + j - 1] == u[i - 1] + v[j - 1] for i, j in arcs):
         return GraphReport(
             kind="tsp", holds=True,
             certificate={"u": tuple(u), "v": tuple(v)},
             common_value=sum(u) + sum(v),
         )
-    if n > witness_bound:
-        return GraphReport(
-            kind="tsp", holds=False,
-            detail=f"witness enumeration skipped for n > {witness_bound}",
-        )
-    tours = _all_tours(n)
-    values = [_tour_value(tensor, t) for t in tours]
-    for k in range(1, len(values)):
-        if values[k] != values[0]:
-            return GraphReport(
-                kind="tsp", holds=False,
-                witness=(tours[0], tours[k]),
-                witness_values=(values[0], values[k]),
-            )
-    raise AssertionError("no sum split exists but all trips agree")
+    if n <= 5:
+        tours = _all_tours(n)
+        first = _tour_value(tensor, tours[0])
+        witness = (tours[0], next(t for t in tours if _tour_value(tensor, t) != first))
+    else:
+        residual = {
+            (i, j): data[(i - 1) * n + j - 1] - u[i - 1] - v[j - 1] for i, j in arcs
+        }
+        (z, a), (i, j) = _unequal_disjoint_arcs(residual, n)
+        rest = tuple(x for x in range(2, n + 1) if x not in (z, a, i, j))
+        witness = ((1, a, i, j) + rest + (z,), (1, j) + rest + (z, a, i))
+    return GraphReport(
+        kind="tsp", holds=False,
+        witness=witness,
+        witness_values=tuple(_tour_value(tensor, t) for t in witness),
+    )
 
 
-def _all_tours(n: int) -> list[tuple[int, ...]]:
-    return [(1,) + rest for rest in permutations(range(2, n + 1))]
+def _unequal_disjoint_arcs(residual, n):
+    """Two vertex-disjoint arcs on 2..n (n >= 6) with unequal residuals,
+    given r_23 = 0 and r not identically zero."""
+    rest = range(4, n + 1)
+    for q in permutations(rest, 2):
+        if residual[q]:
+            return (2, 3), q
+    # r vanishes on 4..n, so a nonzero arc p touches 2 or 3 and leaves at
+    # least two of the n-3 >= 3 vertices 4..n for a disjoint zero arc
+    p = next(p for p in permutations(range(2, n + 1), 2) if residual[p])
+    x, y = [w for w in rest if w not in p][:2]
+    return p, (x, y)
+
+
+@lru_cache(maxsize=8)
+def _all_tours(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((1,) + rest for rest in permutations(range(2, n + 1)))
 
 
 def _tour_value(tensor: CostTensor, tour) -> Scalar:
-    total = 0
-    for x, y in zip(tour, tour[1:] + (tour[0],)):
-        total += tensor.at((x, y))
-    return total
+    n, data = tensor.dims[0], tensor.data
+    return sum(data[(x - 1) * n + y - 1] for x, y in zip(tour, tour[1:] + tour[:1]))
 
 
 # ---------------------------------------------------------------------------

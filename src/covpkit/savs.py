@@ -2,9 +2,10 @@
 
 A d-dimensional array is s-sum-decomposable when it is a sum of C(d,s)
 components, one per s-subset Q of the axes, each depending only on the
-coordinates in its Q.  Membership is a linear system; the generator matrix
-and the inclusion-exclusion dimension give two independent routes to the
-dimension of the space of all such arrays.
+coordinates in its Q.  Membership is decided by ANOVA projection onto the
+functions of at most s coordinates; the dimension of the space of all such
+arrays has a closed form, and the generator matrix gives an independent
+route to it by exact rank.
 """
 
 from __future__ import annotations
@@ -12,17 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, gcd, lcm, prod
 
 from .errors import InputError
 from .exact import (
     CostTensor,
     ExactMatrix,
-    Scalar,
     all_index_tuples,
     flatten_index,
     rank,
-    solve_linear,
 )
 
 IndexSubset = tuple[int, ...]  # 1-based axis numbers, strictly increasing
@@ -94,32 +93,41 @@ def reconstruct(decomposition: Decomposition) -> CostTensor:
 class DecomposeResult:
     """Either a decomposition, or an exact refutation.
 
-    On failure ``witness`` is a rational vector y indexed by the tensor's
-    tuples in row-major order with yᵀ·(membership system) = 0 but
-    Σ y_t c(t) ≠ 0, proving no decomposition exists.
+    On success ``decomposition`` is the canonical ANOVA split (see
+    `decompose`); compare decompositions by reconstruction, since any
+    decomposition can trade constants and lower-order terms between
+    components.  On failure ``witness`` is the high-order ANOVA residual of
+    the tensor scaled to coprime integers, indexed by the tensor's tuples in
+    row-major order: every marginal sum of it over at most s axes vanishes,
+    so yᵀ·(membership system) = 0, while Σ y_t c(t) is a positive multiple
+    of its squared norm, proving no decomposition exists.
     """
 
     decomposition: Decomposition | None = None
-    witness: tuple[Scalar, ...] | None = None
+    witness: tuple[int, ...] | None = None
 
     @property
     def decomposable(self) -> bool:
         return self.decomposition is not None
 
 
-def _unknown_layout(dims: tuple[int, ...], s: int):
-    """Column index of every component entry in the membership system."""
-    d = len(dims)
-    layout = {}
-    col = 0
-    shapes = {}
-    for Q in axis_subsets(d, s):
-        shape = tuple(dims[q - 1] for q in Q)
-        shapes[Q] = shape
-        for k in all_index_tuples(shape):
-            layout[(Q, k)] = col
-            col += 1
-    return layout, shapes, col
+def _projection_offsets(dims: tuple[int, ...], positions) -> list[int]:
+    """For every tuple of the `dims` grid in row-major order, the row-major
+    offset of its subtuple at the 0-based `positions` in the subgrid."""
+    offsets = [0]
+    for axis, extent in enumerate(dims):
+        if axis in positions:
+            offsets = [o * extent + i for o in offsets for i in range(extent)]
+        else:
+            offsets = [o for o in offsets for _ in range(extent)]
+    return offsets
+
+
+def _marginal(values, offsets, size: int) -> list:
+    sums = [0] * size
+    for o, x in zip(offsets, values):
+        sums[o] += x
+    return sums
 
 
 def decompose(
@@ -127,11 +135,19 @@ def decompose(
 ) -> DecomposeResult:
     """Test membership in the space of s-sum-decomposable arrays.
 
-    Solves the linear system equating Σ_Q A^Q(h_Q(t)) with the tensor entry
-    at every t.  The returned decomposition is the deterministic particular
-    solution of the exact elimination (free unknowns pinned to zero); it is
-    canonical only in that sense, so compare decompositions by
-    reconstruction, never componentwise.
+    The s-sum-decomposable arrays are exactly the functions of at most s
+    coordinates, i.e. the arrays whose ANOVA (Hoeffding) components f_U
+    vanish for |U| > s.  Their low-order part is the orthogonal projection
+
+        g = Σ_{|V|<=s} (-1)^(s-|V|) C(d-|V|-1, s-|V|) · M_V,
+
+    where M_V is the mean of the tensor over the axes outside V.  Each V
+    term is folded into the first s-subset Q ⊇ V in canonical order, which
+    gives the returned decomposition; the tensor is decomposable iff g
+    rebuilds it exactly.  Otherwise c - g is the refutation witness.  All
+    arithmetic is exact (the data are scaled to integers once); the work is
+    O(C(d,s) · (N + 2^s n^s)) for N tensor entries, memory beyond the
+    components is O(N), and no linear system is built.
     """
     d = tensor.d
     _check_parameters(d, s)
@@ -139,27 +155,50 @@ def decompose(
         n = tensor.cubical_extent
         if n < 2:
             raise InputError("sum-decomposability is defined for extent n >= 2")
-    layout, shapes, ncols = _unknown_layout(tensor.dims, s)
+    dims = tensor.dims
+    N = len(tensor.data)
+    scale = lcm(*(x.denominator for x in tensor.data if isinstance(x, Fraction)))
+    values = [int(x * scale) for x in tensor.data]
     subsets = axis_subsets(d, s)
-    rows = []
-    for t in tensor.index_tuples():
-        row = [0] * ncols
-        for Q in subsets:
-            row[layout[(Q, project(t, Q))]] = 1
-        rows.append(row)
-    system = ExactMatrix.from_rows(rows)
-    result = solve_linear(system, list(tensor.data))
-    if not result.consistent:
-        return DecomposeResult(witness=result.witness)
-    components = []
+
+    # Every part below is N * scale times its true value, so it stays integral.
+    seen: set[IndexSubset] = set()
+    parts = []
+    residual = [N * x for x in values]
     for Q in subsets:
-        shape = shapes[Q]
-        data = tuple(
-            result.solution[layout[(Q, k)]] for k in all_index_tuples(shape)
-        )
-        components.append((Q, CostTensor(shape, data)))
+        shape = tuple(dims[q - 1] for q in Q)
+        offsets = _projection_offsets(dims, {q - 1 for q in Q})
+        q_sums = _marginal(values, offsets, prod(shape))
+        part = [0] * prod(shape)
+        for k in range(s + 1):
+            coef = (-1) ** (s - k) * comb(d - k - 1, s - k)
+            for pos in combinations(range(s), k):
+                V = tuple(Q[p] for p in pos)
+                if V in seen:
+                    continue
+                seen.add(V)
+                sub = _projection_offsets(shape, set(pos))
+                size = prod(shape[p] for p in pos)
+                v_sums = _marginal(q_sums, sub, size)
+                weight = coef * size
+                for i, o in enumerate(sub):
+                    part[i] += weight * v_sums[o]
+        parts.append((Q, shape, part))
+        residual = [r - part[o] for r, o in zip(residual, offsets)]
+
+    if any(residual):
+        g = gcd(*residual)
+        return DecomposeResult(witness=tuple(r // g for r in residual))
+    denominator = N * scale
+    components = []
+    for Q, shape, part in parts:
+        data = []
+        for x in part:
+            f = Fraction(x, denominator)
+            data.append(f.numerator if f.denominator == 1 else f)
+        components.append((Q, CostTensor(shape, tuple(data))))
     return DecomposeResult(
-        decomposition=Decomposition(tensor.dims, s, tuple(components))
+        decomposition=Decomposition(dims, s, tuple(components))
     )
 
 
@@ -250,31 +289,16 @@ def _verify_candidate(tensor: CostTensor, candidate: Decomposition) -> Construct
 
 
 def savs_dimension(d: int, s: int, n: int) -> int:
-    """dim of the s-sum-decomposable space by inclusion-exclusion.
+    """dim of the s-sum-decomposable space: Σ_{k<=s} C(d,k)(n-1)^k.
 
-    Sums (-1)^(|I|+1) n^(|∩I|) over nonempty families I of s-subsets, with
-    n^0 = 1 for empty intersections (the constants).
+    The space is the direct sum of the ANOVA subspaces W_U, |U| <= s, and
+    W_U has dimension (n-1)^|U| (functions of the coordinates in U whose
+    average over any one of them is zero).
     """
     _check_parameters(d, s)
     if n < 2:
         raise InputError("dimension formulas require n >= 2")
-    masks = [sum(1 << (q - 1) for q in Q) for Q in axis_subsets(d, s)]
-    m = len(masks)
-    total = 0
-    for family in range(1, 1 << m):
-        inter = (1 << d) - 1
-        size = 0
-        probe = family
-        idx = 0
-        while probe:
-            if probe & 1:
-                inter &= masks[idx]
-                size += 1
-            probe >>= 1
-            idx += 1
-        term = n ** bin(inter).count("1")
-        total += term if size % 2 == 1 else -term
-    return total
+    return sum(comb(d, k) * (n - 1) ** k for k in range(s + 1))
 
 
 def savs_generator_matrix(d: int, s: int, n: int) -> ExactMatrix:

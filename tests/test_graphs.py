@@ -107,6 +107,18 @@ class TestMst:
         with pytest.raises(InputError):
             mst_covp(weighted_graph(4, [(1, 2, 0), (3, 4, 0)]))
 
+    def test_k30_one_heavier_edge(self):
+        n = 30
+        g = complete_graph(n, lambda i, j: 6 if (i, j) == (2, n) else 5)
+        report = mst_covp(g)
+        assert not report.holds
+        weights = g.weight_map()
+        t1, t2 = report.witness
+        assert is_spanning_tree(g, t1) and is_spanning_tree(g, t2)
+        values = tuple(sum(weights[e] for e in t) for t in report.witness)
+        assert values == report.witness_values
+        assert sorted(values) == [5 * (n - 1), 5 * (n - 1) + 1]
+
 
 class TestSpUndirected:
     @staticmethod
@@ -235,6 +247,20 @@ class TestTsp:
         assert is_round_trip(4, t1) and is_round_trip(4, t2)
         assert sorted(report.witness_values) == [0, 1]
 
+    def test_non_sum_witness_n50(self):
+        n = 50
+        entries = {(i, j): i + 2 * j for i in range(1, n + 1) for j in range(1, n + 1)}
+        entries[(n, n - 1)] += 1
+        tensor = CostTensor.from_entries((n, n), entries)
+        report = tsp_covp(tensor)
+        assert not report.holds
+        t1, t2 = report.witness
+        assert is_round_trip(n, t1) and is_round_trip(n, t2)
+        values = tuple(
+            sum(tensor.at((x, y)) for x, y in zip(t, t[1:] + t[:1])) for t in report.witness
+        )
+        assert values == report.witness_values and values[0] != values[1]
+
     def test_too_small(self):
         with pytest.raises(InputError):
             tsp_covp(CostTensor.zeros((2, 2)))
@@ -276,6 +302,10 @@ class TestOracleAgreement:
             report = self._check(kind, instance)
             oracle = brute_force_oracle(kind, instance)
             assert report.holds == oracle.holds, (kind, weights)
+            if not report.holds:
+                assert report.witness is not None, (kind, weights)
+                v1, v2 = report.witness_values
+                assert v1 != v2
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_random_rational(self, kind, rng):
@@ -298,7 +328,8 @@ class TestOracleAgreement:
             assert report.holds == oracle.holds
             if report.holds and report.certificate is not None:
                 assert certificate_reconstructs(report, instance)
-            if not report.holds and report.witness is not None:
+            if not report.holds:
+                assert report.witness is not None
                 v1, v2 = report.witness_values
                 assert v1 != v2
 

@@ -4,6 +4,8 @@ import pytest
 
 from covpkit import (
     CostTensor,
+    Decomposition,
+    ExactMatrix,
     InputError,
     counterexample_array,
     decompose,
@@ -14,12 +16,39 @@ from covpkit import (
     reconstruct,
     savs_dimension,
     savs_generator_matrix,
+    solve_linear,
 )
+from covpkit.exact import all_index_tuples
 from covpkit.savs import axis_subsets
 
-from conftest import random_decomposition
+from conftest import random_decomposition, random_scalar, random_tensor
 
 SUM_MATRIX = CostTensor((2, 2), (0, 2, 1, 3))  # u=(0,1), v=(0,2)
+
+
+def membership_system(dims, s):
+    """The 0/1 system A with one row per index tuple and one column per
+    pattern of every s-subset of axes: A x = c iff x is a decomposition."""
+    subsets = axis_subsets(len(dims), s)
+    columns = {}
+    for Q in subsets:
+        for k in all_index_tuples(tuple(dims[q - 1] for q in Q)):
+            columns[(Q, k)] = len(columns)
+    rows = []
+    for t in all_index_tuples(dims):
+        row = [0] * len(columns)
+        for Q in subsets:
+            row[columns[(Q, project(t, Q))]] = 1
+        rows.append(row)
+    return ExactMatrix.from_rows(rows)
+
+
+def refutes(y, tensor, s):
+    """yᵀA = 0 for the membership system A, and y·c != 0."""
+    A = membership_system(tensor.dims, s)
+    if any(sum(yt * row[col] for yt, row in zip(y, A.entries)) for col in range(A.cols)):
+        return False
+    return sum(yt * c for yt, c in zip(y, tensor.data)) != 0
 
 
 class TestProject:
@@ -80,20 +109,8 @@ class TestDecompose:
 
     def test_witness_refutes(self):
         tensor = counterexample_array()
-        result = decompose(tensor, 2)
-        y = result.witness
         # y combines the membership equations to 0 = nonzero
-        combo = {}
-        rhs = 0
-        for coeff, (t, value) in zip(y, zip(tensor.index_tuples(), tensor.data)):
-            if coeff == 0:
-                continue
-            rhs += coeff * value
-            for Q in axis_subsets(4, 2):
-                key = (Q, project(t, Q))
-                combo[key] = combo.get(key, 0) + coeff
-        assert all(v == 0 for v in combo.values())
-        assert rhs != 0
+        assert refutes(decompose(tensor, 2).witness, tensor, 2)
 
     def test_roundtrip_random(self, rng):
         for d, s, n in [(3, 2, 3), (3, 1, 3), (4, 2, 2), (4, 3, 2), (2, 1, 4)]:
@@ -111,6 +128,57 @@ class TestDecompose:
             decompose(SUM_MATRIX, 2)
         with pytest.raises(InputError):
             decompose(CostTensor((1, 1), (1,)), 1)
+
+
+def random_shaped_decomposition(rng, dims, s):
+    components = tuple(
+        (Q, random_tensor(rng, tuple(dims[q - 1] for q in Q)))
+        for Q in axis_subsets(len(dims), s)
+    )
+    return Decomposition(tuple(dims), s, components)
+
+
+class TestEliminationOracle:
+    """`decompose` against exact elimination of the membership system."""
+
+    CASES = [
+        ((3, 3), 1), ((2, 3, 4), 1), ((3, 2, 3), 2), ((2, 2, 2, 2), 2),
+        ((3, 3, 3), 2), ((2, 3, 2, 2), 3), ((4, 1, 3), 1), ((2, 2, 3, 2), 1),
+    ]
+
+    @pytest.mark.parametrize("dims,s", CASES)
+    def test_agrees_with_solve_linear(self, rng, dims, s):
+        for kind in ("random", "decomposable", "perturbed"):
+            for _ in range(3):
+                if kind == "random":
+                    tensor = random_tensor(rng, dims)
+                else:
+                    tensor = reconstruct(random_shaped_decomposition(rng, dims, s))
+                    if kind == "perturbed":
+                        data = list(tensor.data)
+                        data[rng.randrange(len(data))] += random_scalar(rng) or 1
+                        tensor = CostTensor(tensor.dims, tuple(data))
+                result = decompose(tensor, s, allow_unequal_extents=True)
+                system = membership_system(tensor.dims, s)
+                assert result.decomposable == solve_linear(system, tensor.data).consistent
+                if result.decomposable:
+                    assert reconstruct(result.decomposition).data == tensor.data
+                else:
+                    assert all(isinstance(y, int) for y in result.witness)
+                    assert refutes(result.witness, tensor, s)
+
+    def test_roundtrip_6_1_4(self, rng):
+        original = random_decomposition(rng, 6, 1, 4)
+        tensor = reconstruct(original)
+        result = decompose(tensor, 1)
+        assert result.decomposable
+        assert reconstruct(result.decomposition).data == tensor.data
+        data = list(tensor.data)
+        data[-1] += Fraction(1, 3)
+        perturbed = CostTensor(tensor.dims, tuple(data))
+        result = decompose(perturbed, 1)
+        assert not result.decomposable
+        assert refutes(result.witness, perturbed, 1)
 
 
 class TestAxialConstructive:
@@ -182,6 +250,21 @@ class TestPlanarConstructive:
                 )
 
 
+def inclusion_exclusion_dimension(d, s, n):
+    """Sum of (-1)^(|I|+1) n^(|∩I|) over nonempty families I of s-subsets;
+    an empty intersection counts n^0 = 1 (the constants)."""
+    masks = [sum(1 << (q - 1) for q in Q) for Q in axis_subsets(d, s)]
+    total = 0
+    for family in range(1, 1 << len(masks)):
+        inter = (1 << d) - 1
+        for idx, mask in enumerate(masks):
+            if family >> idx & 1:
+                inter &= mask
+        term = n ** bin(inter).count("1")
+        total += term if bin(family).count("1") % 2 else -term
+    return total
+
+
 class TestDimension:
     def test_paper_value(self):
         assert savs_dimension(4, 2, 3) == 33
@@ -201,17 +284,16 @@ class TestDimension:
         assert savs_dimension(3, 2, 3) == 19
 
     def test_component_sum_identity(self):
-        # independent route: dim = sum over j <= s of C(d,j)(n-1)^j, from the
-        # splitting of each axis factor into constants plus a complement
-        from math import comb
-
+        # the closed form sum over j <= s of C(d,j)(n-1)^j against the
+        # independent inclusion-exclusion route over families of s-subsets
         for d in range(2, 6):
             for s in range(1, d):
                 for n in range(2, 5):
-                    expected = sum(
-                        comb(d, j) * (n - 1) ** j for j in range(s + 1)
-                    )
-                    assert savs_dimension(d, s, n) == expected
+                    assert savs_dimension(d, s, n) == inclusion_exclusion_dimension(d, s, n)
+
+    def test_without_family_enumeration(self):
+        # 2^C(7,3) = 2^35 families: out of reach for inclusion-exclusion
+        assert savs_dimension(7, 3, 3) == 379
 
     def test_validation(self):
         with pytest.raises(InputError):
