@@ -10,14 +10,17 @@ pair of feasible solutions.
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .covp import (
     ConjectureReport,
+    ConstantValueOrders,
     CovpVerdict,
     DetSequence,
     IncidenceMatrix,
+    OrderRefutation,
     build_incidence,
     build_Md,
     build_M_prime,
     build_reduced,
     conjecture_experiment,
+    constant_value_orders,
     counterexample_array,
     covp_check_axial_fast,
     covp_check_bruteforce,

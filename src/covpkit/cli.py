@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -210,7 +211,7 @@ def _cmd_covp_check(args) -> int:
             raise InputError("the size-2 subproblem method applies to s = d-1 only")
         verdict = covp_check_planar_p2(tensor)
     else:
-        verdict = covp_check_bruteforce(tensor, args.s, _budget(args), workers=args.workers)
+        verdict = covp_check_bruteforce(tensor, args.s, _budget(args))
     _emit(_verdict_obj(verdict), args)
     return 2 if verdict.provisional else 0
 
@@ -455,7 +456,7 @@ def _repro_dims(claims: _Claims) -> None:
 
 
 def _repro_conjecture(claims: _Claims, budget: SearchBudget) -> None:
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         report = conjecture_experiment(4, 2, n, budget)
         if not report.complete:
             claims.inconclusive(
@@ -471,7 +472,7 @@ def _repro_conjecture(claims: _Claims, budget: SearchBudget) -> None:
             report.equal,
             detail=f"covp_dim={report.covp_dim}, savs_dim={report.savs_dim}",
         )
-    claims.note("(4,2) at n>=5", "skipped", "skipped", detail="beyond the default budget")
+    claims.note("(4,2) at n>=6", "skipped", "skipped", detail="beyond the default budget")
 
 
 def _cmd_repro(args) -> int:
@@ -552,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=["auto", "brute", "p2", "axial"], default="auto")
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_covp_check)
 
     p = covp_sub.add_parser("dim")
@@ -629,6 +629,11 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed early (e.g. `| head`); point stdout at devnull so
+        # the flush at interpreter exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

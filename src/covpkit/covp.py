@@ -2,22 +2,21 @@
 
 Provides the brute-force equality check, the fast axial and planar
 characterizations with explicit two-solution witnesses, incidence matrices
-of solution sets, the dimension of the space of constant-value cost arrays,
-the recursive block matrices behind the planar n=3 rank law, and the fixed
-four-dimensional counterexample.
+of solution sets, the dimension of the space of constant-value cost arrays
+(by an ANOVA order test on orbit representatives), the recursive block
+matrices behind the planar n=3 rank law, and the fixed four-dimensional
+counterexample.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 from .errors import BudgetExceeded, InputError
-from .exact import CostTensor, ExactMatrix, Scalar, determinant, rank
+from .exact import CostTensor, ExactMatrix, Scalar, determinant, flatten_index, rank
 from .feasible import (
-    EnumerationResult,
     FeasibleSolution,
     SearchBudget,
     enumerate_general,
@@ -28,6 +27,7 @@ from .feasible import (
 )
 from .savs import (
     ConstructiveResult,
+    decompose,
     decompose_axial_constructive,
     savs_dimension,
 )
@@ -65,7 +65,6 @@ def covp_check_bruteforce(
     tensor: CostTensor,
     s: int,
     budget: SearchBudget | None = None,
-    workers: int = 1,
 ) -> CovpVerdict:
     """Enumerate feasible solutions and compare objective values directly."""
     d = tensor.d
@@ -83,11 +82,7 @@ def covp_check_bruteforce(
             holds=True, provisional=True, method="brute-force",
             detail="no solutions found before the budget ran out",
         )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda f: objective(tensor, f), enum.solutions))
-    else:
-        values = [objective(tensor, f) for f in enum.solutions]
+    values = [objective(tensor, f) for f in enum.solutions]
     j = _first_disagreement(values)
     if j is not None:
         return CovpVerdict(
@@ -286,8 +281,6 @@ class IncidenceMatrix:
 
 def build_incidence(solutions, d: int, n: int) -> IncidenceMatrix:
     """Incidence of the given solutions over the row-major tuple order."""
-    from .exact import flatten_index
-
     dims = (n,) * d
     N = n**d
     rows = []
@@ -305,31 +298,145 @@ def build_incidence(solutions, d: int, n: int) -> IncidenceMatrix:
     )
 
 
-def _dimension_from_solutions(solutions, d: int, n: int) -> int:
-    # dim of {c : all solution sums equal} = n^d + 1 - rank([M | 1]); the
-    # unknown common value rides along as the extra column.
-    N = n**d
-    if not solutions:
-        return N
-    inc = build_incidence(solutions, d, n)
-    augmented = ExactMatrix.from_rows(
-        [row + (1,) for row in inc.matrix.entries]
+@dataclass(frozen=True)
+class OrderRefutation:
+    """A checkable proof that no W_U with |U| = ``order`` lies in the
+    constant-value space.
+
+    ``test_array`` is an integer array in W_U for U = {1..order}: the top-order
+    interaction of the first solution's U-marginal count table, broadcast to
+    the grid.  The second solution is the first relabeled by
+    ``transposition`` = (axis, a, b), which swaps the labels a and b on that
+    axis; ``values`` are the two objective values on ``test_array``, which
+    differ by the strict Cauchy–Schwarz inequality.
+    """
+
+    order: int
+    pair: tuple[FeasibleSolution, FeasibleSolution]
+    test_array: CostTensor
+    transposition: tuple[int, int, int]
+    values: tuple[Scalar, Scalar]
+
+
+@dataclass(frozen=True)
+class ConstantValueOrders:
+    """The ANOVA orders k whose subspaces W_U (|U| = k) make up the
+    constant-value space.
+
+    ``kept`` lists the proven orders: every k <= s, and each k > s that every
+    representative of a complete reduced enumeration passed.  ``refuted``
+    carries one artifact per refuted order.  On an incomplete search the
+    orders > s in neither list are undecided and there is no dimension.
+    """
+
+    d: int
+    s: int
+    n: int
+    kept: tuple[int, ...]
+    refuted: tuple[OrderRefutation, ...]
+    representatives: int
+    complete: bool
+
+    @property
+    def vacuous(self) -> bool:
+        return self.complete and self.representatives == 0
+
+    @property
+    def solution_count(self) -> int:
+        """Solutions covered: each representative stands for (n!)^(d-s)."""
+        return self.representatives * factorial(self.n) ** (self.d - self.s)
+
+    @property
+    def dimension(self) -> int | None:
+        if not self.complete:
+            return None
+        return sum(comb(self.d, k) * (self.n - 1) ** k for k in self.kept)
+
+
+def _marginal_counts(sol: FeasibleSolution, k: int) -> CostTensor:
+    """How often each pattern of the first k coordinates occurs in sol."""
+    dims = (sol.n,) * k
+    counts = [0] * sol.n**k
+    for t in sol.tuples:
+        counts[flatten_index(t[:k], dims)] += 1
+    return CostTensor(dims, tuple(counts))
+
+
+def _moving_transposition(w, k: int, n: int) -> tuple[int, int, int]:
+    # transpositions (1 b) generate S_n, so if none on any axis moved w it
+    # would be invariant, hence constant along every axis, hence 0
+    for axis in range(k):
+        stride = n ** (k - 1 - axis)
+        for b in range(2, n + 1):
+            shift = (b - 1) * stride
+            for i in range(len(w)):
+                if (i // stride) % n == 0 and w[i] != w[i + shift]:
+                    return axis + 1, 1, b
+    raise AssertionError("nonzero interaction invariant under every transposition")
+
+
+def _refute_order(sol: FeasibleSolution, k: int, w) -> OrderRefutation:
+    d, n = sol.d, sol.n
+    axis, a, b = _moving_transposition(w, k, n)
+    relabel = [{a: b, b: a} if pos == axis - 1 else {} for pos in range(d)]
+    moved = relabel_solution(sol, relabel)
+    repeat = n ** (d - k)
+    x = CostTensor((n,) * d, tuple(v for v in w for _ in range(repeat)))
+    values = (objective(x, sol), objective(x, moved))
+    if values[0] == values[1]:
+        raise AssertionError("transposed solution does not separate the values")
+    return OrderRefutation(k, (sol, moved), x, (axis, a, b), values)
+
+
+def constant_value_orders(
+    d: int, s: int, n: int, budget: SearchBudget | None = None
+) -> ConstantValueOrders:
+    """Which ANOVA subspaces W_U lie in the constant-value space V.
+
+    V is invariant under relabelings, so it is a direct sum of whole W_U
+    (Hoeffding 1948), and W_U ⊆ V exactly when the U-marginal count table of
+    every feasible solution has no top-order interaction.  That property is
+    the same on a relabeling orbit and, by the symmetry of the axes, for
+    every U of one size.  So the test runs on U = {1..k}, one per order
+    k > s, over the orbit representatives of `enumerate_general` with
+    ``reduced=True``; `decompose` at s = k-1 on the count table decides it,
+    and its witness is the test array of the refutation.
+    """
+    enum = enumerate_general(d, s, n, budget, reduced=True)
+    kept = list(range(s + 1))
+    refuted = []
+    # at n = 1 every W_U with U nonempty is zero and lies in V trivially
+    pending = list(range(s + 1, d + 1))
+    for sol in enum.solutions if n > 1 else ():
+        for k in list(pending):
+            witness = decompose(_marginal_counts(sol, k), k - 1).witness
+            if witness is not None:
+                refuted.append(_refute_order(sol, k, witness))
+                pending.remove(k)
+        if not pending:
+            break
+    if enum.complete:
+        kept += pending
+    return ConstantValueOrders(
+        d, s, n, tuple(kept), tuple(refuted), enum.count, enum.complete
     )
-    return N + 1 - rank(augmented)
 
 
 def covp_space_dimension(
     d: int, s: int, n: int, budget: SearchBudget | None = None
 ) -> int:
     """Dimension of the space of cost arrays on which every feasible
-    solution has the same value.  Needs a complete enumeration; with no
-    feasible solutions at all, every array qualifies and n^d is returned."""
-    enum = enumerate_general(d, s, n, budget)
-    if not enum.complete:
+    solution has the same value: Σ C(d,k)(n-1)^k over the orders k kept by
+    `constant_value_orders`.  No solution set is materialized beyond one
+    representative per relabeling orbit, and no rank is taken.  Needs a
+    complete reduced enumeration; with no feasible solutions at all, every
+    order is kept and n^d is returned."""
+    orders = constant_value_orders(d, s, n, budget)
+    if not orders.complete:
         raise BudgetExceeded(
             f"enumeration of ({d},{s})-AP at n={n} exceeded the budget"
         )
-    return _dimension_from_solutions(enum.solutions, d, n)
+    return orders.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +672,20 @@ def conjecture_experiment(
 
     Equality means decomposability characterizes the constant-value property
     at these parameters (the decomposable space is always contained in the
-    constant-value space).  Incomplete enumerations yield an inconclusive
-    report rather than a dimension.
+    constant-value space).  The constant-value dimension comes from the
+    order test of `constant_value_orders` on one solution per relabeling
+    orbit, with no rank; ``solution_count`` is the number of representatives
+    times the orbit size (n!)^(d-s).  Incomplete enumerations yield an
+    inconclusive report rather than a dimension.
     """
-    enum = enumerate_general(d, s, n, budget)
+    orders = constant_value_orders(d, s, n, budget)
     savs = savs_dimension(d, s, n)
-    if not enum.complete:
-        return ConjectureReport(
-            d, s, n, enum.count, False, False, None, savs, None
-        )
-    if not enum.solutions:
+    count = orders.solution_count
+    if not orders.complete:
+        return ConjectureReport(d, s, n, count, False, False, None, savs, None)
+    if orders.vacuous:
         return ConjectureReport(d, s, n, 0, True, True, None, savs, None)
-    covp_dim = _dimension_from_solutions(enum.solutions, d, n)
+    covp_dim = orders.dimension
     return ConjectureReport(
-        d, s, n, enum.count, True, False, covp_dim, savs, covp_dim == savs
+        d, s, n, count, True, False, covp_dim, savs, covp_dim == savs
     )

@@ -5,6 +5,12 @@ hypercubes, s=2 solutions are tuples of mutually orthogonal Latin squares,
 and the general case is an index-1 orthogonal array search.  All streams are
 deterministic and duplicate-free; bounded searches report whether the tree
 was exhausted, and infeasibility is only ever claimed on a complete search.
+
+Relabeling the values of axes s+1..d maps solutions to solutions, and this
+group of (n!)^(d-s) relabelings acts freely.  Each orbit has exactly one
+*reduced* member: the one containing (1,…,1,j,j,…,j), with s-1 leading ones,
+for every j.  Every enumerator takes ``reduced=True`` to emit only those
+representatives; it fixes the first n cells of its search to them.
 """
 
 from __future__ import annotations
@@ -118,15 +124,22 @@ class _Counter:
         return self.nodes <= self.limit
 
 
-def enumerate_axial(d: int, n: int, budget: SearchBudget | None = None) -> EnumerationResult:
-    """All (n!)^(d-1) axial solutions, ordered by their permutation tuples."""
+def enumerate_axial(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
+    """All (n!)^(d-1) axial solutions, ordered by their permutation tuples.
+
+    With ``reduced`` only the orbit representative is emitted: for s = 1 it
+    is the diagonal {(j,…,j)}, the one solution of the reduced search.
+    """
     if d < 2 or n < 1:
         raise InputError("axial enumeration needs d >= 2 and n >= 1")
     budget = budget or SearchBudget.default()
     result = EnumerationResult(d=d, s=1, n=n)
     counter = _Counter(budget.max_nodes)
     base = range(1, n + 1)
-    for phis in product(permutations(base), repeat=d - 1):
+    perms = [tuple(base)] if reduced else list(permutations(base))
+    for phis in product(perms, repeat=d - 1):
         if not counter.tick() or len(result.solutions) >= budget.max_solutions:
             result.complete = False
             break
@@ -138,12 +151,15 @@ def enumerate_axial(d: int, n: int, budget: SearchBudget | None = None) -> Enume
     return result
 
 
-def enumerate_planar(d: int, n: int, budget: SearchBudget | None = None) -> EnumerationResult:
+def enumerate_planar(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
     """All planar (s = d-1) solutions via Latin-hypercube backtracking.
 
     A solution is a table f on {1..n}^(d-1) in which fixing all arguments but
     one yields a permutation; tables are emitted in row-major lexicographic
-    order of their values.
+    order of their values.  With ``reduced`` the first row f(1,…,1,j) = j is
+    fixed, which leaves one table per orbit under relabeling its values.
     """
     if d < 2 or n < 1:
         raise InputError("planar enumeration needs d >= 2 and n >= 1")
@@ -152,6 +168,9 @@ def enumerate_planar(d: int, n: int, budget: SearchBudget | None = None) -> Enum
     counter = _Counter(budget.max_nodes)
 
     cells = list(product(range(n), repeat=d - 1))
+    choices = [range(1, n + 1)] * len(cells)
+    if reduced:
+        choices[:n] = [(j,) for j in range(1, n + 1)]
     naxes = d - 1
     used = [dict() for _ in range(naxes)]
     for cell in cells:
@@ -175,7 +194,7 @@ def enumerate_planar(d: int, n: int, budget: SearchBudget | None = None) -> Enum
             return
         cell = cells[ci]
         lines = [used[a][cell[:a] + cell[a + 1 :]] for a in range(naxes)]
-        for v in range(1, n + 1):
+        for v in choices[ci]:
             if not counter.tick():
                 aborted = True
                 return
@@ -196,12 +215,16 @@ def enumerate_planar(d: int, n: int, budget: SearchBudget | None = None) -> Enum
     return result
 
 
-def enumerate_mols(d: int, n: int, budget: SearchBudget | None = None) -> EnumerationResult:
+def enumerate_mols(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
     """All s=2 solutions: (d-2)-tuples of mutually orthogonal Latin squares.
 
     Squares are filled cell by cell (row-major), candidate value vectors in
     lexicographic order, pruning on row/column usage per square and on code
-    usage per square pair.
+    usage per square pair.  With ``reduced`` the first row of every square is
+    fixed to 1..n, which leaves one tuple per orbit under relabeling the
+    symbols of each square.
     """
     if d < 3 or n < 1:
         raise InputError("the s=2 search needs d >= 3 and n >= 1")
@@ -211,6 +234,9 @@ def enumerate_mols(d: int, n: int, budget: SearchBudget | None = None) -> Enumer
 
     K = d - 2
     cells = [(r, c) for r in range(n) for c in range(n)]
+    choices = [list(product(range(1, n + 1), repeat=K))] * len(cells)
+    if reduced:
+        choices[:n] = [[(j,) * K] for j in range(1, n + 1)]
     row_used = [[[False] * (n + 1) for _ in range(n)] for _ in range(K)]
     col_used = [[[False] * (n + 1) for _ in range(n)] for _ in range(K)]
     pairs = [(a, b) for a in range(K) for b in range(a + 1, K)]
@@ -232,7 +258,7 @@ def enumerate_mols(d: int, n: int, budget: SearchBudget | None = None) -> Enumer
                 aborted = True
             return
         r, c = cells[ci]
-        for vals in product(range(1, n + 1), repeat=K):
+        for vals in choices[ci]:
             if not counter.tick():
                 aborted = True
                 return
@@ -268,27 +294,34 @@ def enumerate_mols(d: int, n: int, budget: SearchBudget | None = None) -> Enumer
 
 
 def enumerate_general(
-    d: int, s: int, n: int, budget: SearchBudget | None = None
+    d: int, s: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
 ) -> EnumerationResult:
     """All (d,s) solutions; dispatches to the specialized enumerators when
     s is 1, 2 or d-1 and otherwise backtracks over index-1 orthogonal
-    arrays (one value vector per pattern of the first s axes)."""
+    arrays (one value vector per pattern of the first s axes).
+
+    With ``reduced`` only the orbit representatives are emitted, the
+    solutions containing (1,…,1,j,j,…,j) for every j; there are
+    count / (n!)^(d-s) of them.
+    """
     if not 0 < s < d:
         raise InputError(f"need 0 < s < d, got s={s}, d={d}")
     if n < 1:
         raise InputError("need n >= 1")
     if s == 1:
-        return enumerate_axial(d, n, budget)
+        return enumerate_axial(d, n, budget, reduced)
     if s == d - 1:
-        return enumerate_planar(d, n, budget)
+        return enumerate_planar(d, n, budget, reduced)
     if s == 2:
-        return enumerate_mols(d, n, budget)
+        return enumerate_mols(d, n, budget, reduced)
     budget = budget or SearchBudget.default()
     result = EnumerationResult(d=d, s=s, n=n)
     counter = _Counter(budget.max_nodes)
 
     cells = list(product(range(1, n + 1), repeat=s))
-    rest_axes = list(range(s + 1, d + 1))
+    choices = [list(product(range(1, n + 1), repeat=d - s))] * len(cells)
+    if reduced:
+        choices[:n] = [[(j,) * (d - s)] for j in range(1, n + 1)]
     constraint_sets = [Q for Q in axis_subsets(d, s) if Q != tuple(range(1, s + 1))]
     used = {Q: set() for Q in constraint_sets}
     chosen = [None] * len(cells)
@@ -305,7 +338,7 @@ def enumerate_general(
                 aborted = True
             return
         head = cells[ci]
-        for tail in product(range(1, n + 1), repeat=d - s):
+        for tail in choices[ci]:
             if not counter.tick():
                 aborted = True
                 return

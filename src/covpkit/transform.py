@@ -184,7 +184,7 @@ class TransportInstance:
                 raise InputError(
                     f"axis {axis} has extent {extent} but {len(vec)} supplies"
                 )
-            if any(not isinstance(b, int) or b < 0 for b in vec):
+            if any(isinstance(b, bool) or not isinstance(b, int) or b < 0 for b in vec):
                 raise InputError("supplies must be nonnegative integers")
         totals = {sum(vec) for vec in self.supplies}
         if len(totals) != 1:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,38 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["dims"] == [3, 3]
 
+    def test_tp_boolean_supply_rejected(self, capsys, tmp_path):
+        inst = write(
+            tmp_path,
+            "inst.json",
+            {"dims": [2, 2], "costs": [1, 2, 3, 4], "supplies": [[True, 1], [1, 1]]},
+        )
+        code, out, err = run_cli(capsys, "tp", "covp", "--file", inst)
+        assert code == 1 and out == ""
+        assert "supplies must be nonnegative integers" in err
+
+    def test_workers_option_gone(self, capsys, tmp_path):
+        path = write(tmp_path, "arr.json", SUM_MATRIX_OBJ)
+        with pytest.raises(SystemExit):
+            main(["covp", "check", "--file", path, "--s", "1", "--workers", "2"])
+
+    def test_closed_stdout_is_quiet(self):
+        # the reader is gone before covpkit writes, as with `| head -c 100`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "covpkit.cli", "covp", "repro", "dims"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
     def test_graph_covp_with_oracle(self, capsys, tmp_path):
         g = write(
             tmp_path,
@@ -284,6 +320,14 @@ class TestRepro:
     def test_dims(self, capsys):
         code, out, _ = run_cli(capsys, "covp", "repro", "dims", "--no-timings")
         assert code == 0 and json.loads(out)["failed"] == 0
+
+    def test_conjecture(self, capsys):
+        code, out, _ = run_cli(capsys, "covp", "repro", "conjecture", "--no-timings")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["failed"] == 0 and obj["inconclusive"] == 0
+        n3 = [e for e in obj["claims"] if e["claim"].startswith("(4,2) at n=3")]
+        assert n3[0]["detail"] == "covp_dim=49, savs_dim=33"
 
     def test_reports_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "covp", "repro", "dims", "--no-timings")

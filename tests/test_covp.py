@@ -11,6 +11,7 @@ from covpkit import (
     build_M_prime,
     build_reduced,
     conjecture_experiment,
+    constant_value_orders,
     counterexample_array,
     covp_check_axial_fast,
     covp_check_bruteforce,
@@ -20,6 +21,7 @@ from covpkit import (
     det_sequence,
     determinant,
     enumerate_axial,
+    enumerate_general,
     enumerate_planar,
     is_feasible_solution,
     objective,
@@ -34,6 +36,25 @@ from covpkit.exact import ExactMatrix
 from conftest import random_decomposition, random_tensor
 
 SUM_MATRIX = CostTensor((2, 2), (0, 2, 1, 3))
+
+
+def _rank_dimension(solutions, d: int, n: int) -> int:
+    """Oracle: dim of {c : all solution sums equal} = n^d + 1 - rank([M | 1]),
+    with the unknown common value riding along as the extra column."""
+    N = n**d
+    if not solutions:
+        return N
+    inc = build_incidence(solutions, d, n)
+    return N + 1 - rank(ExactMatrix.from_rows([row + (1,) for row in inc.matrix.entries]))
+
+
+# axial, planar, s=2 and generic grids, with the n=2 axial anomalies and five
+# vacuous ones: (4,2,2), (5,2,2), (5,2,3), (5,3,2), (5,3,3)
+ORACLE_GRIDS = [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (4, 1, 2), (5, 1, 2),
+    (4, 1, 3), (3, 2, 2), (3, 2, 3), (3, 2, 4), (4, 3, 2), (4, 3, 3), (5, 4, 2),
+    (5, 4, 3), (4, 2, 3), (4, 2, 2), (5, 2, 2), (5, 2, 3), (5, 3, 2), (5, 3, 3),
+]
 
 
 def _assert_witness_ok(tensor, verdict, s):
@@ -72,12 +93,6 @@ class TestBruteForce:
             CostTensor.zeros((3, 3, 3)), 1, SearchBudget(max_nodes=5)
         )
         assert verdict.provisional
-
-    def test_workers_deterministic(self):
-        tensor = CostTensor.from_entries((3, 3), {(2, 2): 1, (1, 3): 2})
-        v1 = covp_check_bruteforce(tensor, 1, workers=1)
-        v4 = covp_check_bruteforce(tensor, 1, workers=4)
-        assert v1.witness == v4.witness and v1.witness_values == v4.witness_values
 
 
 class TestAxialFast:
@@ -275,6 +290,74 @@ class TestCovpDimension:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             covp_space_dimension(4, 2, 3, SearchBudget(max_nodes=10))
+
+    def test_small_budgets_never_give_a_dimension(self):
+        for max_nodes in (10, 20, 50):
+            with pytest.raises(BudgetExceeded):
+                covp_space_dimension(4, 2, 3, SearchBudget(max_nodes=max_nodes))
+            report = conjecture_experiment(4, 2, 3, SearchBudget(max_nodes=max_nodes))
+            assert not report.complete and report.covp_dim is None
+
+    def test_matches_rank_oracle(self):
+        for d, s, n in ORACLE_GRIDS:
+            full = enumerate_general(d, s, n)
+            assert full.complete
+            orders = constant_value_orders(d, s, n)
+            assert orders.solution_count == full.count, (d, s, n)
+            dim = _rank_dimension(full.solutions, d, n)
+            assert orders.dimension == covp_space_dimension(d, s, n) == dim, (d, s, n)
+
+
+class TestConstantValueOrders:
+    def test_orders(self):
+        expected = {
+            (3, 1, 2): (0, 1, 3),
+            (4, 1, 2): (0, 1, 3),
+            (5, 1, 2): (0, 1, 3, 5),
+            (4, 2, 3): (0, 1, 2, 4),
+            (4, 2, 4): (0, 1, 2),
+        }
+        for grid, kept in expected.items():
+            orders = constant_value_orders(*grid)
+            assert orders.complete and orders.kept == kept, grid
+            d = grid[0]
+            assert sorted(kept + tuple(r.order for r in orders.refuted)) == list(range(d + 1))
+
+    def test_vacuous_keeps_every_order(self):
+        orders = constant_value_orders(5, 2, 3)
+        assert orders.vacuous and orders.kept == (0, 1, 2, 3, 4, 5)
+        assert orders.dimension == 3**5
+
+    def test_refutations_are_checkable(self):
+        grids = [(3, 1, 2), (4, 1, 2), (3, 1, 3), (4, 1, 4), (3, 2, 4), (4, 2, 3),
+                 (4, 2, 4), (4, 3, 3), (5, 4, 3), (5, 2, 4)]
+        for d, s, n in grids:
+            orders = constant_value_orders(d, s, n)
+            assert orders.refuted, (d, s, n)
+            for ref in orders.refuted:
+                first, second = ref.pair
+                assert is_feasible_solution(first) and is_feasible_solution(second)
+                assert first.s == second.s == s
+                x = ref.test_array
+                assert x.dims == (n,) * d and all(isinstance(v, int) for v in x.data)
+                # the test array depends on the first `order` coordinates only
+                repeat = n ** (d - ref.order)
+                assert all(x.data[i] == x.data[i - i % repeat] for i in range(len(x.data)))
+                axis, a, b = ref.transposition
+                assert axis <= ref.order
+                swap = {a: b, b: a}
+                moved = {
+                    tuple(swap.get(v, v) if pos == axis else v for pos, v in enumerate(t, 1))
+                    for t in first.tuples
+                }
+                assert moved == set(second.tuples)
+                v1, v2 = objective(x, first), objective(x, second)
+                assert (v1, v2) == ref.values and v1 != v2
+
+    def test_incomplete_search_keeps_only_low_orders(self):
+        orders = constant_value_orders(4, 2, 3, SearchBudget(max_nodes=10))
+        assert not orders.complete and orders.dimension is None
+        assert orders.kept == (0, 1, 2)
 
 
 class TestCounterexample:

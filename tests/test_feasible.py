@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -221,3 +222,42 @@ class TestCornerConstructions:
             diff = set(first.tuples) ^ set(second.tuples)
             cube = {t for t in diff if all(x in (1, 2) for x in t)}
             assert diff == cube and len(diff) == 2**d
+
+
+REDUCTION_GRIDS = [
+    (2, 1, 3), (3, 1, 3), (4, 1, 3), (3, 2, 3), (3, 2, 4), (4, 3, 2), (4, 3, 3),
+    (5, 4, 3), (4, 2, 3), (5, 2, 3), (5, 3, 2), (5, 3, 3), (4, 2, 2),
+]
+
+
+class TestReduced:
+    def test_one_reduced_member_per_orbit(self):
+        for d, s, n in REDUCTION_GRIDS:
+            reduced = enumerate_general(d, s, n, reduced=True)
+            full = enumerate_general(d, s, n)
+            assert reduced.complete and full.complete
+            assert reduced.count * factorial(n) ** (d - s) == full.count, (d, s, n)
+            full_set = {f.tuples for f in full.solutions}
+            for sol in reduced.solutions:
+                assert sol.tuples in full_set
+                for j in range(1, n + 1):
+                    assert (1,) * (s - 1) + (j,) * (d - s + 1) in sol.tuples
+
+    def test_orthogonal_latin_squares_order_4(self):
+        # 6,912 pairs of orthogonal Latin squares of order 4, 576 per orbit
+        reduced = enumerate_general(4, 2, 4, reduced=True)
+        assert reduced.complete and reduced.count * 576 == 6912
+        for sol in reduced.solutions:
+            assert is_feasible_solution(sol)
+            assert all((1, j, j, j) in sol.tuples for j in range(1, 5))
+
+    def test_specialized_enumerators(self):
+        assert enumerate_axial(4, 4, reduced=True).count == 1
+        assert enumerate_planar(3, 4, reduced=True).count == 576 // 24
+        assert enumerate_mols(4, 3, reduced=True).count == 72 // 36
+        diagonal = enumerate_axial(3, 3, reduced=True).solutions[0]
+        assert diagonal.tuples == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
+
+    def test_budget_still_applies(self):
+        result = enumerate_general(4, 2, 4, SearchBudget(max_nodes=20), reduced=True)
+        assert not result.complete and result.nodes <= 21
