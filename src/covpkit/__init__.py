@@ -51,6 +51,7 @@ from .feasible import (
     enumerate_mols,
     enumerate_planar,
     is_feasible_solution,
+    iter_solutions,
     objective,
 )
 from .graphs import (

@@ -31,6 +31,7 @@ from .feasible import (
     SearchBudget,
     enumerate_general,
     is_feasible_solution,
+    iter_solutions,
     objective,
 )
 from .graphs import (
@@ -177,7 +178,12 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    result = enumerate_general(args.d, args.s, args.n, _budget(args))
+    if args.print_solutions:
+        result = enumerate_general(args.d, args.s, args.n, _budget(args))
+    else:
+        result = iter_solutions(args.d, args.s, args.n, _budget(args))
+        for _ in result:
+            pass
     obj = {
         "d": args.d,
         "s": args.s,

@@ -20,7 +20,7 @@ from .feasible import (
     FeasibleSolution,
     SearchBudget,
     enumerate_general,
-    enumerate_planar,
+    iter_solutions,
     objective,
     planar_corner_solution_pair,
     relabel_solution,
@@ -53,12 +53,37 @@ class CovpVerdict:
     detail: str | None = None
 
 
-def _first_disagreement(values):
-    head = values[0]
-    for j in range(1, len(values)):
-        if values[j] != head:
-            return j
-    return None
+def _first_unequal(tensor: CostTensor, stream):
+    """Value the streamed solutions in order, straight from ``tensor.data``,
+    and stop at the first whose value differs from the first one's.
+
+    Returns (first tuples, first value, unequal tuples or None); the first
+    two are None on an empty stream.  The search cores only build
+    coordinates in 1..n, so index tuples go to a lookup built once from the
+    row-major data and are not validated one by one.
+    """
+    n = tensor.cubical_extent
+    value_of = dict(zip(product(range(1, n + 1), repeat=tensor.d), tensor.data)).__getitem__
+    first = head = None
+    for tuples in stream:
+        value = sum(map(value_of, tuples))
+        if first is None:
+            first, head = tuples, value
+        elif value != head:
+            return first, head, tuples
+    return first, head, None
+
+
+def _pair_verdict(tensor, stream, first, other, method, **extra) -> CovpVerdict:
+    d, s, n = stream.d, stream.s, stream.n
+    pair = (FeasibleSolution.build(d, s, n, first), FeasibleSolution.build(d, s, n, other))
+    return CovpVerdict(
+        holds=False,
+        witness=pair,
+        witness_values=(objective(tensor, pair[0]), objective(tensor, pair[1])),
+        method=method,
+        **extra,
+    )
 
 
 def covp_check_bruteforce(
@@ -66,14 +91,25 @@ def covp_check_bruteforce(
     s: int,
     budget: SearchBudget | None = None,
 ) -> CovpVerdict:
-    """Enumerate feasible solutions and compare objective values directly."""
+    """Stream the feasible solutions and compare their values directly.
+
+    Solutions come one at a time from `iter_solutions` and none is kept
+    beyond the first: the check stops at the first solution whose value
+    differs from the first solution's, and only then builds the two
+    witness solutions (the first unequal pair in canonical order) and
+    recomputes their values with `objective`.  "holds" needs the whole
+    stream; under an exhausted budget it is marked provisional.
+    """
     d = tensor.d
     n = tensor.cubical_extent
     if not 0 < s < d:
         raise InputError(f"need 0 < s < d, got s={s}, d={d}")
-    enum = enumerate_general(d, s, n, budget)
-    if not enum.solutions:
-        if enum.complete:
+    stream = iter_solutions(d, s, n, budget)
+    first, value, other = _first_unequal(tensor, stream)
+    if other is not None:
+        return _pair_verdict(tensor, stream, first, other, "brute-force")
+    if first is None:
+        if stream.complete:
             return CovpVerdict(
                 holds=True, vacuous=True, method="brute-force",
                 detail="no feasible solutions exist; the property holds emptily",
@@ -82,19 +118,10 @@ def covp_check_bruteforce(
             holds=True, provisional=True, method="brute-force",
             detail="no solutions found before the budget ran out",
         )
-    values = [objective(tensor, f) for f in enum.solutions]
-    j = _first_disagreement(values)
-    if j is not None:
-        return CovpVerdict(
-            holds=False,
-            witness=(enum.solutions[0], enum.solutions[j]),
-            witness_values=(values[0], values[j]),
-            method="brute-force",
-        )
     return CovpVerdict(
         holds=True,
-        common_value=values[0],
-        provisional=not enum.complete,
+        common_value=value,
+        provisional=not stream.complete,
         method="brute-force",
     )
 
@@ -245,18 +272,11 @@ def _planar_failure_verdict(tensor, d, n, box, violation) -> CovpVerdict:
         # no order-3 Latin square has a 2x2 subsquare, so the lifting
         # construction cannot work; with only 3·2^(d-1) solutions brute
         # force is cheap
-        enum = enumerate_planar(d, n)
-        values = [objective(tensor, f) for f in enum.solutions]
-        j = _first_disagreement(values)
-        if j is None:
+        stream = iter_solutions(d, d - 1, n)
+        first, _, other = _first_unequal(tensor, stream)
+        if other is None:
             raise AssertionError("size-2 test failed but all objectives agree")
-        return CovpVerdict(
-            holds=False,
-            witness=(enum.solutions[0], enum.solutions[j]),
-            witness_values=(values[0], values[j]),
-            method="planar-p2",
-            mismatch=box,
-        )
+        return _pair_verdict(tensor, stream, first, other, "planar-p2", mismatch=box)
     pair = planar_corner_solution_pair(d, n)
     relabel = [{2: box[pos], box[pos]: 2} for pos in range(d)]
     f1 = relabel_solution(pair[0], relabel)
@@ -449,7 +469,7 @@ _C0 = ((0, 0, 1), (0, 0, 1), (0, 1, 0))
 
 
 def _hcat(*blocks):
-    return tuple(tuple(x for block in row_blocks for x in block) for row_blocks in zip(*blocks))
+    return tuple(sum(row_blocks, ()) for row_blocks in zip(*blocks))
 
 
 def _vcat(top, bottom):
@@ -509,7 +529,10 @@ def reduced_kept_indices(k: int) -> tuple[list[int], list[int]]:
 def build_M_prime(d: int) -> ExactMatrix:
     """The (2^d + 1)-square submatrix certifying rank(M_d) >= 2^d + 1:
     the primed rows/columns plus the reinserted third row and column."""
-    M = build_Md(d)
+    return _primed_submatrix(build_Md(d), d)
+
+
+def _primed_submatrix(M: ExactMatrix, d: int) -> ExactMatrix:
     rows, cols = reduced_kept_indices(d - 1)
     rows = sorted(rows + [2])
     cols = sorted(cols + [2])
@@ -608,7 +631,7 @@ def verify_rank_Md(d: int, k_max: int | None = None) -> RankMdReport:
     )
     M = build_Md(d)
     r = rank(M)
-    m_prime_det = determinant(build_M_prime(d))
+    m_prime_det = determinant(_primed_submatrix(M, d))
     z_prev = seq.z[d - 1] if d - 1 <= k_max else None
     alt_value = 3 ** (d * 2 ** (d + 1) + 1)
     return RankMdReport(

@@ -188,6 +188,8 @@ class ExactMatrix:
 
 def _scaled_int_row(row) -> tuple[list[int], int]:
     """Clear denominators of one row; returns the integer row and the scale."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
     scale = 1
     for x in row:
         if isinstance(x, Fraction) and x.denominator != 1:

@@ -2,9 +2,12 @@
 
 Axial solutions are tuples of permutations, planar solutions are Latin
 hypercubes, s=2 solutions are tuples of mutually orthogonal Latin squares,
-and the general case is an index-1 orthogonal array search.  All streams are
-deterministic and duplicate-free; bounded searches report whether the tree
-was exhausted, and infeasibility is only ever claimed on a complete search.
+and the general case is an index-1 orthogonal array search.  The four
+searches are generator cores behind one stream, `iter_solutions`, which
+counts nodes and solutions against one `SearchBudget`; the ``enumerate_*``
+functions collect that stream into lists.  All streams are deterministic and
+duplicate-free; bounded searches report whether the tree was exhausted, and
+infeasibility is only ever claimed on a complete search.
 
 Relabeling the values of axes s+1..d maps solutions to solutions, and this
 group of (n!)^(d-s) relabelings acts freely.  Each orbit has exactly one
@@ -30,7 +33,8 @@ DEFAULT_MAX_SOLUTIONS = 1_000_000
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps on node expansions and emitted solutions."""
+    """Caps on node expansions and emitted solutions.  Reaching either one
+    stops the search and marks it incomplete."""
 
     max_nodes: int = DEFAULT_MAX_NODES
     max_solutions: int = DEFAULT_MAX_SOLUTIONS
@@ -112,126 +116,104 @@ def objective(tensor: CostTensor, sol: FeasibleSolution) -> Scalar:
     return sum(tensor.at(t) for t in sol.tuples)
 
 
-class _Counter:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit):
-        self.nodes = 0
-        self.limit = limit
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        return self.nodes <= self.limit
+class _OutOfNodes(Exception):
+    """Raised inside a search core when the node budget is spent."""
 
 
-def enumerate_axial(
-    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
-) -> EnumerationResult:
-    """All (n!)^(d-1) axial solutions, ordered by their permutation tuples.
+class SolutionStream:
+    """One budgeted depth-first search, consumed by iterating over it.
 
-    With ``reduced`` only the orbit representative is emitted: for s = 1 it
-    is the diagonal {(j,…,j)}, the one solution of the reduced search.
+    Each item is one feasible solution as a list of index tuples, in the
+    canonical order of its search core; nothing is collected.  ``nodes``
+    counts node expansions and ``count`` the solutions yielded so far.
+    ``complete`` turns True only when the iteration ends because the whole
+    tree was visited: a spent node budget, reaching ``max_solutions``, or a
+    consumer that stops early all leave it False.  The stream is single-pass.
     """
-    if d < 2 or n < 1:
-        raise InputError("axial enumeration needs d >= 2 and n >= 1")
-    budget = budget or SearchBudget.default()
-    result = EnumerationResult(d=d, s=1, n=n)
-    counter = _Counter(budget.max_nodes)
+
+    __slots__ = ("d", "s", "n", "nodes", "count", "complete", "_limit", "_items")
+
+    def __init__(self, core, d, s, n, budget, reduced):
+        budget = budget or SearchBudget.default()
+        self.d, self.s, self.n = d, s, n
+        self.nodes = 0
+        self.count = 0
+        self.complete = False
+        self._limit = budget.max_nodes
+        self._items = self._run(core(self.tick, d, s, n, reduced), budget.max_solutions)
+
+    def __iter__(self):
+        return self._items
+
+    def tick(self) -> None:
+        """Count one node expansion; ends the search past the node budget."""
+        self.nodes += 1
+        if self.nodes > self._limit:
+            raise _OutOfNodes
+
+    def _run(self, solutions, cap):
+        try:
+            for tuples in solutions:
+                self.count += 1
+                yield tuples
+                if self.count >= cap:
+                    return
+        except _OutOfNodes:
+            return
+        self.complete = True
+
+
+# Search cores: generators of index-tuple lists that call ``tick`` once per
+# node.  Each one fixes its first n cells to the reduced tuples when asked.
+
+
+def _axial_core(tick, d, s, n, reduced):
+    # permutation tuples (phi_2..phi_d) in lexicographic order; the solution
+    # is {(i, phi_2(i), ..., phi_d(i))}
     base = range(1, n + 1)
     perms = [tuple(base)] if reduced else list(permutations(base))
     for phis in product(perms, repeat=d - 1):
-        if not counter.tick() or len(result.solutions) >= budget.max_solutions:
-            result.complete = False
-            break
-        tuples = [
-            tuple([i] + [phi[i - 1] for phi in phis]) for i in base
-        ]
-        result.solutions.append(FeasibleSolution.build(d, 1, n, tuples))
-    result.nodes = counter.nodes
-    return result
+        tick()
+        yield list(zip(base, *phis))
 
 
-def enumerate_planar(
-    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
-) -> EnumerationResult:
-    """All planar (s = d-1) solutions via Latin-hypercube backtracking.
-
-    A solution is a table f on {1..n}^(d-1) in which fixing all arguments but
-    one yields a permutation; tables are emitted in row-major lexicographic
-    order of their values.  With ``reduced`` the first row f(1,…,1,j) = j is
-    fixed, which leaves one table per orbit under relabeling its values.
-    """
-    if d < 2 or n < 1:
-        raise InputError("planar enumeration needs d >= 2 and n >= 1")
-    budget = budget or SearchBudget.default()
-    result = EnumerationResult(d=d, s=d - 1, n=n)
-    counter = _Counter(budget.max_nodes)
-
+def _planar_core(tick, d, s, n, reduced):
+    # a Latin hypercube f on {1..n}^(d-1), cell by cell in row-major order
     cells = list(product(range(n), repeat=d - 1))
+    heads = [tuple(x + 1 for x in cell) for cell in cells]
     choices = [range(1, n + 1)] * len(cells)
     if reduced:
         choices[:n] = [(j,) for j in range(1, n + 1)]
-    naxes = d - 1
-    used = [dict() for _ in range(naxes)]
-    for cell in cells:
-        for a in range(naxes):
-            used[a].setdefault(cell[:a] + cell[a + 1 :], [False] * (n + 1))
+    used = [dict() for _ in range(d - 1)]
+    lines = [
+        [used[a].setdefault(cell[:a] + cell[a + 1 :], [False] * (n + 1)) for a in range(d - 1)]
+        for cell in cells
+    ]
     values = [0] * len(cells)
-    aborted = False
 
-    def bt(ci: int) -> None:
-        nonlocal aborted
-        if aborted:
-            return
+    def bt(ci):
         if ci == len(cells):
-            tuples = [
-                tuple(x + 1 for x in cell) + (values[i],)
-                for i, cell in enumerate(cells)
-            ]
-            result.solutions.append(FeasibleSolution.build(d, d - 1, n, tuples))
-            if len(result.solutions) >= budget.max_solutions:
-                aborted = True
+            yield [head + (v,) for head, v in zip(heads, values)]
             return
-        cell = cells[ci]
-        lines = [used[a][cell[:a] + cell[a + 1 :]] for a in range(naxes)]
+        cell_lines = lines[ci]
         for v in choices[ci]:
-            if not counter.tick():
-                aborted = True
-                return
-            if any(line[v] for line in lines):
-                continue
-            for line in lines:
-                line[v] = True
-            values[ci] = v
-            bt(ci + 1)
-            for line in lines:
-                line[v] = False
-            if aborted:
-                return
+            tick()
+            for line in cell_lines:
+                if line[v]:
+                    break
+            else:
+                for line in cell_lines:
+                    line[v] = True
+                values[ci] = v
+                yield from bt(ci + 1)
+                for line in cell_lines:
+                    line[v] = False
 
-    bt(0)
-    result.complete = not aborted
-    result.nodes = counter.nodes
-    return result
+    return bt(0)
 
 
-def enumerate_mols(
-    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
-) -> EnumerationResult:
-    """All s=2 solutions: (d-2)-tuples of mutually orthogonal Latin squares.
-
-    Squares are filled cell by cell (row-major), candidate value vectors in
-    lexicographic order, pruning on row/column usage per square and on code
-    usage per square pair.  With ``reduced`` the first row of every square is
-    fixed to 1..n, which leaves one tuple per orbit under relabeling the
-    symbols of each square.
-    """
-    if d < 3 or n < 1:
-        raise InputError("the s=2 search needs d >= 3 and n >= 1")
-    budget = budget or SearchBudget.default()
-    result = EnumerationResult(d=d, s=2, n=n)
-    counter = _Counter(budget.max_nodes)
-
+def _mols_core(tick, d, s, n, reduced):
+    # d-2 mutually orthogonal Latin squares, cell by cell in row-major order
     K = d - 2
     cells = [(r, c) for r in range(n) for c in range(n)]
     choices = [list(product(range(1, n + 1), repeat=K))] * len(cells)
@@ -242,26 +224,17 @@ def enumerate_mols(
     pairs = [(a, b) for a in range(K) for b in range(a + 1, K)]
     pair_used = {p: [[False] * (n + 1) for _ in range(n + 1)] for p in pairs}
     grid = [[[0] * n for _ in range(n)] for _ in range(K)]
-    aborted = False
 
-    def bt(ci: int) -> None:
-        nonlocal aborted
-        if aborted:
-            return
+    def bt(ci):
         if ci == len(cells):
-            tuples = [
+            yield [
                 (r + 1, c + 1) + tuple(grid[k][r][c] for k in range(K))
                 for r, c in cells
             ]
-            result.solutions.append(FeasibleSolution.build(d, 2, n, tuples))
-            if len(result.solutions) >= budget.max_solutions:
-                aborted = True
             return
         r, c = cells[ci]
         for vals in choices[ci]:
-            if not counter.tick():
-                aborted = True
-                return
+            tick()
             ok = True
             for k, v in enumerate(vals):
                 if row_used[k][r][v] or col_used[k][c][v]:
@@ -279,45 +252,17 @@ def enumerate_mols(
                 grid[k][r][c] = v
             for a, b in pairs:
                 pair_used[(a, b)][vals[a]][vals[b]] = True
-            bt(ci + 1)
+            yield from bt(ci + 1)
             for k, v in enumerate(vals):
                 row_used[k][r][v] = col_used[k][c][v] = False
             for a, b in pairs:
                 pair_used[(a, b)][vals[a]][vals[b]] = False
-            if aborted:
-                return
 
-    bt(0)
-    result.complete = not aborted
-    result.nodes = counter.nodes
-    return result
+    return bt(0)
 
 
-def enumerate_general(
-    d: int, s: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
-) -> EnumerationResult:
-    """All (d,s) solutions; dispatches to the specialized enumerators when
-    s is 1, 2 or d-1 and otherwise backtracks over index-1 orthogonal
-    arrays (one value vector per pattern of the first s axes).
-
-    With ``reduced`` only the orbit representatives are emitted, the
-    solutions containing (1,…,1,j,j,…,j) for every j; there are
-    count / (n!)^(d-s) of them.
-    """
-    if not 0 < s < d:
-        raise InputError(f"need 0 < s < d, got s={s}, d={d}")
-    if n < 1:
-        raise InputError("need n >= 1")
-    if s == 1:
-        return enumerate_axial(d, n, budget, reduced)
-    if s == d - 1:
-        return enumerate_planar(d, n, budget, reduced)
-    if s == 2:
-        return enumerate_mols(d, n, budget, reduced)
-    budget = budget or SearchBudget.default()
-    result = EnumerationResult(d=d, s=s, n=n)
-    counter = _Counter(budget.max_nodes)
-
+def _orthogonal_array_core(tick, d, s, n, reduced):
+    # one value vector per pattern of the first s axes
     cells = list(product(range(1, n + 1), repeat=s))
     choices = [list(product(range(1, n + 1), repeat=d - s))] * len(cells)
     if reduced:
@@ -325,23 +270,14 @@ def enumerate_general(
     constraint_sets = [Q for Q in axis_subsets(d, s) if Q != tuple(range(1, s + 1))]
     used = {Q: set() for Q in constraint_sets}
     chosen = [None] * len(cells)
-    aborted = False
 
-    def bt(ci: int) -> None:
-        nonlocal aborted
-        if aborted:
-            return
+    def bt(ci):
         if ci == len(cells):
-            tuples = [cells[i] + chosen[i] for i in range(len(cells))]
-            result.solutions.append(FeasibleSolution.build(d, s, n, tuples))
-            if len(result.solutions) >= budget.max_solutions:
-                aborted = True
+            yield [head + tail for head, tail in zip(cells, chosen)]
             return
         head = cells[ci]
         for tail in choices[ci]:
-            if not counter.tick():
-                aborted = True
-                return
+            tick()
             t = head + tail
             keys = [(Q, project(t, Q)) for Q in constraint_sets]
             if any(key in used[Q] for Q, key in keys):
@@ -349,16 +285,103 @@ def enumerate_general(
             for Q, key in keys:
                 used[Q].add(key)
             chosen[ci] = tail
-            bt(ci + 1)
+            yield from bt(ci + 1)
             for Q, key in keys:
                 used[Q].discard(key)
-            if aborted:
-                return
 
-    bt(0)
-    result.complete = not aborted
-    result.nodes = counter.nodes
-    return result
+    return bt(0)
+
+
+def iter_solutions(
+    d: int, s: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> SolutionStream:
+    """Stream every (d,s) solution as a list of index tuples, one at a time.
+
+    Dispatches to the axial search when s = 1, the Latin-hypercube search
+    when s = d-1, the orthogonal Latin squares search when s = 2, and the
+    index-1 orthogonal array search otherwise; the order is that of
+    `enumerate_general`.  No solution is kept once the consumer moves on, so
+    a consumer that stops early (the brute-force check at its first unequal
+    value) pays only for the nodes it visited.  ``nodes``, ``count`` and
+    ``complete`` are final once the stream is exhausted; ``budget`` caps
+    both.  With ``reduced`` only the orbit representatives are streamed,
+    the solutions containing (1,…,1,j,j,…,j) for every j.
+    """
+    if not 0 < s < d:
+        raise InputError(f"need 0 < s < d, got s={s}, d={d}")
+    if n < 1:
+        raise InputError("need n >= 1")
+    if s == 1:
+        core = _axial_core
+    elif s == d - 1:
+        core = _planar_core
+    elif s == 2:
+        core = _mols_core
+    else:
+        core = _orthogonal_array_core
+    return SolutionStream(core, d, s, n, budget, reduced)
+
+
+def _collect(stream: SolutionStream) -> EnumerationResult:
+    d, s, n = stream.d, stream.s, stream.n
+    solutions = [FeasibleSolution.build(d, s, n, tuples) for tuples in stream]
+    return EnumerationResult(d, s, n, solutions, stream.complete, stream.nodes)
+
+
+def enumerate_axial(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
+    """All (n!)^(d-1) axial solutions, ordered by their permutation tuples.
+
+    With ``reduced`` only the orbit representative is emitted: for s = 1 it
+    is the diagonal {(j,…,j)}, the one solution of the reduced search.
+    """
+    if d < 2 or n < 1:
+        raise InputError("axial enumeration needs d >= 2 and n >= 1")
+    return _collect(SolutionStream(_axial_core, d, 1, n, budget, reduced))
+
+
+def enumerate_planar(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
+    """All planar (s = d-1) solutions via Latin-hypercube backtracking.
+
+    A solution is a table f on {1..n}^(d-1) in which fixing all arguments but
+    one yields a permutation; tables are emitted in row-major lexicographic
+    order of their values.  With ``reduced`` the first row f(1,…,1,j) = j is
+    fixed, which leaves one table per orbit under relabeling its values.
+    """
+    if d < 2 or n < 1:
+        raise InputError("planar enumeration needs d >= 2 and n >= 1")
+    return _collect(SolutionStream(_planar_core, d, d - 1, n, budget, reduced))
+
+
+def enumerate_mols(
+    d: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
+    """All s=2 solutions: (d-2)-tuples of mutually orthogonal Latin squares.
+
+    Squares are filled cell by cell (row-major), candidate value vectors in
+    lexicographic order, pruning on row/column usage per square and on code
+    usage per square pair.  With ``reduced`` the first row of every square is
+    fixed to 1..n, which leaves one tuple per orbit under relabeling the
+    symbols of each square.
+    """
+    if d < 3 or n < 1:
+        raise InputError("the s=2 search needs d >= 3 and n >= 1")
+    return _collect(SolutionStream(_mols_core, d, 2, n, budget, reduced))
+
+
+def enumerate_general(
+    d: int, s: int, n: int, budget: SearchBudget | None = None, reduced: bool = False
+) -> EnumerationResult:
+    """All (d,s) solutions of `iter_solutions`, collected into a list.
+
+    With ``reduced`` only the orbit representatives are emitted, the
+    solutions containing (1,…,1,j,j,…,j) for every j; there are
+    count / (n!)^(d-s) of them.
+    """
+    return _collect(iter_solutions(d, s, n, budget, reduced))
 
 
 def latin_square_with_corner(n: int) -> list[list[int]] | None:

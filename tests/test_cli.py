@@ -140,6 +140,20 @@ class TestCliCommands:
         assert code == 2
         assert json.loads(out)["complete"] is False
 
+    def test_enumerate_streams_without_print(self, capsys, monkeypatch):
+        for extra in ((), ("--max-nodes", "50")):
+            argv = ("enumerate", "--d", "4", "--s", "2", "--n", "3") + extra
+            code, out, _ = run_cli(capsys, *argv, "--print-solutions")
+            listed = json.loads(out)
+            # without --print-solutions no solution list is built
+            with monkeypatch.context() as patch:
+                patch.setattr("covpkit.cli.enumerate_general", None)
+                streamed_code, out, _ = run_cli(capsys, *argv)
+            streamed = json.loads(out)
+            assert streamed_code == code == (2 if extra else 0)
+            assert "solutions" not in streamed
+            assert streamed == {k: v for k, v in listed.items() if k != "solutions"}
+
     def test_covp_dim(self, capsys):
         code, out, _ = run_cli(capsys, "covp", "dim", "--d", "4", "--s", "2", "--n", "3")
         assert code == 0

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -93,6 +94,87 @@ class TestBruteForce:
             CostTensor.zeros((3, 3, 3)), 1, SearchBudget(max_nodes=5)
         )
         assert verdict.provisional
+
+
+def _list_oracle(tensor, s, budget=None):
+    """The first unequal pair over the collected solution list, or None,
+    with the first solution's value and the enumeration."""
+    enum = enumerate_general(tensor.d, s, tensor.cubical_extent, budget)
+    values = [objective(tensor, f) for f in enum.solutions]
+    for j in range(1, len(values)):
+        if values[j] != values[0]:
+            return (enum.solutions[0], enum.solutions[j]), (values[0], values[j]), enum
+    return None, values[0] if values else None, enum
+
+
+# axial, planar, s=2 and generic-core grids whose full enumeration is quick
+STREAM_GRIDS = [(2, 1, 3), (3, 1, 3), (3, 2, 3), (4, 3, 2), (4, 2, 3), (3, 2, 4), (5, 3, 2)]
+
+
+class TestStreamingBruteForce:
+    def _agrees(self, tensor, s, budget=None):
+        verdict = covp_check_bruteforce(tensor, s, budget)
+        pair, values, enum = _list_oracle(tensor, s, budget)
+        if pair is not None:
+            assert not verdict.holds
+            assert verdict.witness == pair and verdict.witness_values == values
+            _assert_witness_ok(tensor, verdict, s)
+        else:
+            assert verdict.holds and verdict.common_value == values
+            assert verdict.provisional == (not enum.complete)
+            assert verdict.vacuous == (enum.complete and enum.count == 0)
+        return verdict
+
+    def test_matches_list_oracle(self, rng):
+        for d, s, n in STREAM_GRIDS:
+            holds = reconstruct(random_decomposition(rng, d, s, n))
+            assert self._agrees(holds, s).holds
+            data = list(holds.data)
+            data[rng.randrange(len(data))] += 1
+            self._agrees(CostTensor(holds.dims, tuple(data)), s)
+            self._agrees(random_tensor(rng, holds.dims), s)
+
+    def test_fraction_data(self, rng):
+        for d, s, n in [(3, 1, 3), (4, 2, 3)]:
+            tensor = reconstruct(random_decomposition(rng, d, s, n))
+            assert any(isinstance(x, Fraction) for x in tensor.data)
+            verdict = self._agrees(tensor, s)
+            assert verdict.holds and not verdict.provisional
+            data = list(tensor.data)
+            data[-1] += Fraction(1, 3)
+            verdict = self._agrees(CostTensor(tensor.dims, tuple(data)), s)
+            assert not verdict.holds
+
+    def test_budget_cuts_match_list_oracle(self, rng):
+        tensor = reconstruct(random_decomposition(rng, 4, 2, 3))
+        for max_nodes in (5, 200, 1000):
+            verdict = self._agrees(tensor, 2, SearchBudget(max_nodes=max_nodes))
+            assert verdict.provisional
+
+    def test_stops_early_on_a_large_instance(self, rng):
+        # a full (5,2,4) enumeration takes about 140M nodes
+        tensor = random_tensor(rng, (4,) * 5)
+        verdict = covp_check_bruteforce(tensor, 2, SearchBudget(max_nodes=10_000))
+        assert not verdict.holds and not verdict.provisional
+        _assert_witness_ok(tensor, verdict, 2)
+
+    def test_vacuous_5_2_3(self, rng):
+        verdict = covp_check_bruteforce(random_tensor(rng, (3,) * 5), 2)
+        assert verdict.holds and verdict.vacuous and verdict.common_value is None
+
+    def test_exhausted_budget_is_provisional(self):
+        tensor = counterexample_array()
+        verdict = covp_check_bruteforce(tensor, 2, SearchBudget(max_nodes=100))
+        assert verdict.holds and verdict.provisional and verdict.common_value == 1
+        verdict = covp_check_bruteforce(tensor, 2, SearchBudget(max_nodes=3))
+        assert verdict.holds and verdict.provisional and verdict.common_value is None
+
+    def test_planar_n3_witness_is_first_unequal_pair(self):
+        for d in (2, 3, 4):
+            tensor = CostTensor.from_entries((3,) * d, {(2,) * d: 1})
+            verdict = covp_check_planar_p2(tensor)
+            pair, values, _ = _list_oracle(tensor, d - 1)
+            assert verdict.witness == pair and verdict.witness_values == values
 
 
 class TestAxialFast:

@@ -16,7 +16,7 @@ from covpkit import (
     unflatten_index,
 )
 from covpkit.covp import build_reduced
-from covpkit.exact import format_rational
+from covpkit.exact import _scaled_int_row, format_rational
 
 from conftest import random_scalar
 
@@ -132,6 +132,23 @@ def _laplace_det(rows):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * rows[0][j] * _laplace_det(minor)
     return total
+
+
+class TestScaledRows:
+    def test_int_rows_are_copied_unchanged(self):
+        row = (3, -1, 0, 7)
+        out, scale = _scaled_int_row(row)
+        assert out == [3, -1, 0, 7] and scale == 1 and out is not row
+
+    def test_bools_and_fractions_become_plain_ints(self):
+        for row, expected in [
+            ((True, 2, False), ([1, 2, 0], 1)),
+            ((Fraction(4, 1), 1), ([4, 1], 1)),
+            ((Fraction(1, 2), Fraction(-2, 3), 1), ([3, -4, 6], 6)),
+        ]:
+            out, scale = _scaled_int_row(row)
+            assert (out, scale) == expected
+            assert all(type(x) is int for x in out)
 
 
 class TestDeterminant:

@@ -14,9 +14,18 @@ from covpkit import (
     enumerate_mols,
     enumerate_planar,
     is_feasible_solution,
+    iter_solutions,
     objective,
 )
-from covpkit.feasible import latin_square_with_corner, planar_corner_solution_pair
+from covpkit.feasible import (
+    SolutionStream,
+    _axial_core,
+    _mols_core,
+    _orthogonal_array_core,
+    _planar_core,
+    latin_square_with_corner,
+    planar_corner_solution_pair,
+)
 
 
 def _count_latin_squares_rowwise(n: int) -> int:
@@ -261,3 +270,69 @@ class TestReduced:
     def test_budget_still_applies(self):
         result = enumerate_general(4, 2, 4, SearchBudget(max_nodes=20), reduced=True)
         assert not result.complete and result.nodes <= 21
+
+
+class TestStream:
+    def test_stream_matches_lists(self):
+        for d, s, n in REDUCTION_GRIDS:
+            for reduced in (False, True):
+                stream = iter_solutions(d, s, n, reduced=reduced)
+                streamed = [FeasibleSolution.build(d, s, n, t).tuples for t in stream]
+                listed = enumerate_general(d, s, n, reduced=reduced)
+                assert streamed == [f.tuples for f in listed.solutions], (d, s, n, reduced)
+                assert stream.count == listed.count == len(streamed)
+                assert stream.nodes == listed.nodes
+                assert stream.complete and listed.complete
+
+    def test_budget_cut_matches_lists(self):
+        for max_nodes in (1, 7, 60):
+            budget = SearchBudget(max_nodes=max_nodes)
+            stream = iter_solutions(4, 2, 3, budget)
+            streamed = [FeasibleSolution.build(4, 2, 3, t).tuples for t in stream]
+            listed = enumerate_general(4, 2, 3, budget)
+            assert streamed == [f.tuples for f in listed.solutions]
+            assert stream.nodes == listed.nodes == max_nodes + 1
+            assert not stream.complete and not listed.complete
+
+    def test_early_stop_is_incomplete(self):
+        stream = iter_solutions(3, 1, 3)
+        first = next(iter(stream))
+        assert sorted(first) == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+        assert stream.count == 1 and stream.nodes == 1 and not stream.complete
+
+    def test_single_pass(self):
+        stream = iter_solutions(3, 1, 2)
+        assert len(list(stream)) == 4 and stream.complete
+        assert list(stream) == [] and stream.count == 4
+
+    def test_validation(self):
+        with pytest.raises(InputError):
+            iter_solutions(3, 3, 2)
+        with pytest.raises(InputError):
+            iter_solutions(3, 1, 0)
+
+
+class TestSolutionCap:
+    # (core, d, s, n, solutions): every search core, each with a few solutions
+    CORES = [
+        (_axial_core, 3, 1, 3, 36),
+        (_planar_core, 3, 2, 3, 12),
+        (_mols_core, 4, 2, 3, 72),
+        (_orthogonal_array_core, 4, 2, 3, 72),
+    ]
+
+    def test_reaching_the_cap_marks_incomplete(self):
+        for core, d, s, n, total in self.CORES:
+            for cap in (1, total - 1, total):
+                stream = SolutionStream(core, d, s, n, SearchBudget(max_solutions=cap), False)
+                assert len(list(stream)) == cap == stream.count, core.__name__
+                assert not stream.complete, (core.__name__, cap)
+            stream = SolutionStream(core, d, s, n, SearchBudget(max_solutions=total + 1), False)
+            assert len(list(stream)) == total and stream.complete, core.__name__
+
+    def test_wrappers_follow_the_rule(self):
+        at_cap = SearchBudget(max_solutions=36)
+        assert not enumerate_axial(3, 3, at_cap).complete
+        assert not enumerate_planar(3, 4, SearchBudget(max_solutions=576)).complete
+        assert not enumerate_mols(4, 3, SearchBudget(max_solutions=72)).complete
+        assert enumerate_axial(3, 3, SearchBudget(max_solutions=37)).complete
