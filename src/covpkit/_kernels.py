@@ -1,8 +1,6 @@
-"""Pure-Python integer elimination kernels.
+"""Integer elimination kernels: the hot loops of `covpkit.exact`.
 
-Reference implementation of the hot loops; `covpkit._kernels._fastkernels`
-is the compiled twin with identical semantics.  All arithmetic is on Python
-ints, so results are exact regardless of magnitude.
+Pure Python on exact ints, so results are exact regardless of magnitude.
 """
 
 from math import gcd

@@ -14,8 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import jsonio
-from ._kernels import BACKEND
+from . import KERNEL_BACKEND, jsonio
 from .covp import (
     conjecture_experiment,
     counterexample_array,
@@ -256,7 +255,7 @@ def _cmd_reduce_apply(args) -> int:
     else:
         obj = {"accepted": False, "refusal": _verdict_obj(outcome.refusal)}
     _emit(obj, args)
-    return 0
+    return 2 if outcome.refusal is not None and outcome.refusal.provisional else 0
 
 
 def _cmd_reduce_certify(args) -> int:
@@ -507,7 +506,7 @@ def _cmd_repro(args) -> int:
     inconclusive = [e for e in claims.entries if e["level"] == "inconclusive"]
     obj = {
         "scenario": args.scenario,
-        "kernel_backend": BACKEND,
+        "kernel_backend": KERNEL_BACKEND,
         "claims": claims.entries,
         "passed": sum(1 for e in asserted if e["pass"]),
         "failed": sum(1 for e in asserted if not e["pass"]),

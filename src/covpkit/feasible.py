@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from math import prod
 
 from .errors import InputError
 from .exact import CostTensor, Scalar
@@ -459,10 +458,3 @@ def relabel_solution(sol: FeasibleSolution, relabelings) -> FeasibleSolution:
         for t in sol.tuples
     ]
     return FeasibleSolution.build(sol.d, sol.s, sol.n, tuples)
-
-
-def solution_count_bound(d: int, s: int, n: int) -> int | None:
-    """Closed-form solution counts where known: axial only."""
-    if s == 1:
-        return prod(range(1, n + 1)) ** (d - 1)
-    return None

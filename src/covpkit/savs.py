@@ -21,7 +21,6 @@ from .exact import (
     ExactMatrix,
     all_index_tuples,
     flatten_index,
-    rank,
 )
 
 IndexSubset = tuple[int, ...]  # 1-based axis numbers, strictly increasing
@@ -327,7 +326,3 @@ def savs_generator_matrix(d: int, s: int, n: int) -> ExactMatrix:
                 row[flatten_index(tuple(t), dims)] = 1
             rows.append(row)
     return ExactMatrix.from_rows(rows)
-
-
-def generator_rank(d: int, s: int, n: int) -> int:
-    return rank(savs_generator_matrix(d, s, n))

@@ -59,14 +59,16 @@ def apply_transformation(
     The subtrahend is verified first; a non-constant subtrahend is refused
     together with its two-solution witness.  A vacuously constant subtrahend
     (no feasible solutions at all) is refused as well, since no shift index
-    is defined.
+    is defined.  So is a provisional verdict: a search cut short by its
+    budget has not seen every solution, so it certifies no shift.
     """
     if tensor.dims != subtrahend.dims:
         raise InputError(
             f"shape mismatch: {tensor.dims} vs {subtrahend.dims}"
         )
     verdict = _verdict_for(subtrahend, s, budget)
-    if not verdict.holds or verdict.vacuous or verdict.common_value is None:
+    if (not verdict.holds or verdict.vacuous or verdict.provisional
+            or verdict.common_value is None):
         return ApplyResult(accepted=False, refusal=verdict)
     return ApplyResult(
         accepted=True,

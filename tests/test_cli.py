@@ -303,6 +303,20 @@ class TestCliCommands:
         obj = json.loads(out)
         assert obj["accepted"] is False and obj["refusal"]["holds"] is False
 
+    def test_apply_provisional_refusal_exit_2(self, capsys, tmp_path):
+        arr = write(tmp_path, "arr.json", {"dims": [4] * 4, "data": [0] * 256})
+        unit = write(
+            tmp_path, "unit.json", {"dims": [4] * 4, "data": [0, 1] + [0] * 254}
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "reduce", "apply", "--file", arr, "--subtrahend", unit, "--s", "2",
+            "--max-nodes", "300",
+        )
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["accepted"] is False and obj["refusal"]["provisional"] is True
+
     def test_internal_assertion_exit_3(self, capsys, monkeypatch):
         import covpkit.cli as climod
 

@@ -1,68 +1,10 @@
-"""Backend equivalence: the compiled kernels must match the pure twins
-operation for operation (same pivots, same final rows, same values)."""
+"""The elimination kernels and the backend name reports carry."""
 
-import random
-
-import pytest
-
-from covpkit._kernels import BACKEND, _pykernels
-
-try:
-    from covpkit._kernels import _fastkernels
-except ImportError:
-    _fastkernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _fastkernels is None, reason="compiled kernels not built"
-)
-
-
-def _random_rows(rng, nrows, ncols, span=4):
-    return [[rng.randint(-span, span) for _ in range(ncols)] for _ in range(nrows)]
-
-
-@needs_compiled
-def test_echelon_identical():
-    rng = random.Random(7)
-    for _ in range(200):
-        nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 8)
-        rows = _random_rows(rng, nrows, ncols)
-        a = [row[:] for row in rows]
-        b = [row[:] for row in rows]
-        piv_a = _pykernels.echelon(a, ncols)
-        piv_b = _fastkernels.echelon(b, ncols)
-        assert piv_a == piv_b
-        assert a == b
-
-
-@needs_compiled
-def test_echelon_with_carried_columns():
-    rng = random.Random(11)
-    for _ in range(100):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 5)
-        extra = rng.randint(0, 4)
-        rows = _random_rows(rng, nrows, ncols + extra)
-        a = [row[:] for row in rows]
-        b = [row[:] for row in rows]
-        assert _pykernels.echelon(a, ncols) == _fastkernels.echelon(b, ncols)
-        assert a == b
-
-
-@needs_compiled
-def test_det_identical():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        rows = _random_rows(rng, n, n)
-        a = [row[:] for row in rows]
-        b = [row[:] for row in rows]
-        assert _pykernels.det_bareiss(a) == _fastkernels.det_bareiss(b)
+from covpkit import KERNEL_BACKEND
 
 
 def test_backend_reported():
-    assert BACKEND in ("pure", "compiled")
+    assert KERNEL_BACKEND == "pure"
 
 
 def test_pure_rank_on_structured_matrix():

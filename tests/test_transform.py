@@ -4,6 +4,7 @@ from covpkit import (
     CostTensor,
     FeasibleSolution,
     InputError,
+    SearchBudget,
     TransportInstance,
     apply_transformation,
     axial_reduction,
@@ -53,6 +54,16 @@ class TestApply:
         result = apply_transformation(tensor, bad, 1)
         assert not result.accepted
         assert result.refusal.witness is not None
+
+    def test_provisional_subtrahend_refused(self):
+        # the budget runs out before the stream reaches an unequal pair, so
+        # the verdict "holds" only provisionally and certifies no shift
+        unit = CostTensor.from_entries((4, 4, 4, 4), {(1, 1, 1, 2): 1})
+        result = apply_transformation(
+            CostTensor.zeros((4, 4, 4, 4)), unit, 2, SearchBudget(max_nodes=300)
+        )
+        assert not result.accepted and result.z is None
+        assert result.refusal.provisional
 
     def test_shift_law(self, rng):
         # objective(C,F) - objective(C-B,F) = z for every feasible F
